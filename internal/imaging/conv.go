@@ -126,7 +126,7 @@ func SeparableConv3IntoCtx(ctx context.Context, dst, v *volume.V3, kx, ky, kz []
 	}
 	for _, p := range passes {
 		p := p
-		err := runTiles(ctx, v.NZ, workers, func(z0, z1 int) {
+		err := runTiles(ctx, v.NZ, tileRows, workers, func(z0, z1 int) {
 			convAxisInto(p.dst, p.src, p.kernel, p.ax, 0, z0, z1)
 		})
 		if err != nil {
@@ -155,7 +155,7 @@ func SeparableConv3Stream(ctx context.Context, v *volume.V3, kx, ky, kz []float6
 		ax       axis
 	}{{a, v, kx, axisX}, {b, a, ky, axisY}} {
 		p := p
-		err := runTiles(ctx, v.NZ, workers, func(z0, z1 int) {
+		err := runTiles(ctx, v.NZ, tileRows, workers, func(z0, z1 int) {
 			convAxisInto(p.dst, p.src, p.kernel, p.ax, 0, z0, z1)
 		})
 		if err != nil {

@@ -15,9 +15,9 @@ import (
 // bit-identical to the sequential path for any worker count and any
 // tile size.
 
-// tileRows is the tile height in z-planes. One plane per tile keeps
-// load balancing fine-grained enough for masked kernels, where whole
-// slabs of background cost almost nothing.
+// tileRows is the convolution's tile height in z-planes: one plane
+// per tile keeps load balancing fine-grained. NLMeans instead runs one
+// slab per worker, because each of its slabs repeats a halo.
 const tileRows = 1
 
 // resolveWorkers maps a Workers option to an effective pool size:
@@ -31,15 +31,15 @@ func resolveWorkers(workers, tiles int) int {
 	return workers
 }
 
-// runTiles applies fn to each tile of nz z-planes using the given
-// worker count. It returns ctx.Err() if the context is canceled;
-// workers stop picking up new tiles at the next tile boundary, so a
-// nonzero error means the output may be incomplete and must be
-// discarded by the caller.
-func runTiles(ctx context.Context, nz, workers int, fn func(z0, z1 int)) error {
-	tiles := volume.TileZ(nz, tileRows)
+// runTiles applies fn to each tile of at most rows z-planes of nz,
+// using the given worker count. It returns ctx.Err() if the context is
+// canceled; workers stop picking up new tiles at the next tile
+// boundary, so a nonzero error means the output may be incomplete and
+// must be discarded by the caller.
+func runTiles(ctx context.Context, nz, rows, workers int, fn func(z0, z1 int)) error {
+	tiles := volume.TileZ(nz, rows)
 	workers = resolveWorkers(workers, len(tiles))
-	return volume.ForEach(ctx, volume.Tiles(nz, tileRows), workers, func(bv volume.BlockVol) {
+	return volume.ForEach(ctx, volume.Tiles(nz, rows), workers, func(bv volume.BlockVol) {
 		fn(bv.B.Z0, bv.B.Z1)
 	})
 }

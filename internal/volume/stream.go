@@ -173,21 +173,19 @@ func Map(ctx context.Context, src Stream, arena *Arena, workers int, fn func(in 
 		var emitMu sync.Mutex
 		pending := make(map[int]BlockVol)
 		nextEmit := 0
+		// The ready run is sent while emitMu is held: a worker that
+		// released the lock first could be overtaken by a later run.
 		emit := func(seq int, bv BlockVol) {
 			emitMu.Lock()
+			defer emitMu.Unlock()
 			pending[seq] = bv
-			var ready []BlockVol
 			for {
 				b, ok := pending[nextEmit]
 				if !ok {
-					break
+					return
 				}
 				delete(pending, nextEmit)
 				nextEmit++
-				ready = append(ready, b)
-			}
-			emitMu.Unlock()
-			for _, b := range ready {
 				select {
 				case out <- b:
 				case <-ctx.Done():
