@@ -47,8 +47,12 @@ func defaultNodes(p Profile) int {
 	return 16
 }
 
-// neuroWorkload builds (and caches per profile) the synthetic dMRI
-// dataset for the given subject count.
+// neuroWorkload builds a fresh synthetic dMRI dataset for the given
+// subject count on every call; nothing is cached across calls. The
+// workload, and with it its Step 2N memo ((*neuro.Workload).Denoise),
+// is scoped to the experiment that built it: every engine run, tuning
+// point and fault-scenario rerun on it shares one denoised copy of each
+// distinct input volume.
 func neuroWorkload(p Profile, subjects int) (*neuro.Workload, error) {
 	cfg := synth.DefaultNeuro(subjects)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = p.NeuroNX, p.NeuroNY, p.NeuroNZ, p.NeuroT, p.NeuroB0

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"maps"
 	"reflect"
 	"sort"
 	"testing"
@@ -32,6 +33,10 @@ func (fakeEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, err
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
+	// Restore the registry afterwards so the test can run again in the
+	// same process (go test -count=N).
+	saved := maps.Clone(registry)
+	t.Cleanup(func() { registry = saved })
 	Register(fakeEngine{name: "zz-dup"})
 	defer func() {
 		if recover() == nil {

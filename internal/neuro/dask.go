@@ -35,8 +35,8 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 	// Download each subject to a pinned machine: Dask's scheduler does
 	// not know download sizes in advance, so the paper assigns subjects
 	// to nodes explicitly (Section 5.2.1).
-	fetch := make([]*dask.Delayed, w.Subjects)
-	for s := 0; s < w.Subjects; s++ {
+	fetch := make([]*dask.Delayed, w.Cfg.Subjects)
+	for s := 0; s < w.Cfg.Subjects; s++ {
 		fetch[s] = sess.Fetch(synth.NeuroKeyNIfTI(s), s%cl.Nodes(), func(obj objstore.Object) (any, int64, error) {
 			v4, err := decodeNIfTI(obj)
 			if err != nil {
@@ -52,10 +52,10 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 	cl.MarkStage("fetch")
 
 	var roots []*dask.Delayed
-	maskNodes := make([]*dask.Delayed, w.Subjects)
+	maskNodes := make([]*dask.Delayed, w.Cfg.Subjects)
 	faNodes := make(map[string]*dask.Delayed) // sSSS/bBB → fa slab
 	b0Bytes := volBytes * int64(w.Cfg.B0)
-	for s := 0; s < w.Subjects; s++ {
+	for s := 0; s < w.Cfg.Subjects; s++ {
 		s := s
 		// Per-block partial means over the b0 volumes, reassembled, then
 		// median_otsu (Figure 8 lines 8–11). Tasks slice the fetched
@@ -107,7 +107,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 				[]*dask.Delayed{fetch[s], mask},
 				func(args []any) (any, int64, error) {
 					v := args[0].(*volume.V4).Vols[t]
-					return Denoise(v, args[1].(*volume.V3)), volBytes, nil
+					return w.Denoise(v, args[1].(*volume.V3)), volBytes, nil
 				})
 		}
 		for bi, b := range blocks {
@@ -140,8 +140,8 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 	cl.MarkStage("compute")
 
 	// Assemble results on the client.
-	masks := make(map[int]*volume.V3, w.Subjects)
-	for s := 0; s < w.Subjects; s++ {
+	masks := make(map[int]*volume.V3, w.Cfg.Subjects)
+	for s := 0; s < w.Cfg.Subjects; s++ {
 		masks[s] = maskNodes[s].Value().(*volume.V3)
 	}
 	type kv struct {

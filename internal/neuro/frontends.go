@@ -74,7 +74,7 @@ func RunSciDBAFL(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDB
 	if h := masksArr.Done(); h.Err != nil {
 		return nil, h.Err
 	}
-	masks := make(map[int]*volume.V3, w.Subjects)
+	masks := make(map[int]*volume.V3, w.Cfg.Subjects)
 	for _, c := range masksArr.Chunks {
 		var s int
 		if _, err := fmt.Sscanf(c.Coords, "subj=%d/", &s); err != nil {
@@ -144,7 +144,7 @@ func RunMyriaL(w *Workload, cl *cluster.Cluster, model *cost.Model) (*MyriaLResu
 	env.DefineUDF("Denoise", cost.Denoise, func(args []myrial.Cell) []myrial.Cell {
 		v := args[0].V.(*volume.V3)
 		m := args[1].V.(*volume.V3)
-		den := Denoise(v, m)
+		den := w.Denoise(v, m)
 		return []myrial.Cell{{V: den, Size: synth.PaperVolBytes}}
 	})
 

@@ -74,7 +74,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	}
 	cl.MarkStage("mask")
 
-	masks := make(map[int]*volume.V3, w.Subjects)
+	masks := make(map[int]*volume.V3, w.Cfg.Subjects)
 	for _, t := range maskRel.Tuples() {
 		var s int
 		if _, err := fmt.Sscanf(t.Key, "s%03d", &s); err != nil {
@@ -106,7 +106,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	})
 	den := q2.Apply(j, myria.PyUDF{Name: "Denoise", Op: cost.Denoise, F: func(t myria.Tuple) []myria.Tuple {
 		jv := t.Value.(joined)
-		return []myria.Tuple{{Key: t.Key, Value: joined{vol: Denoise(jv.vol, jv.mask), mask: jv.mask}, Size: t.Size}}
+		return []myria.Tuple{{Key: t.Key, Value: joined{vol: w.Denoise(jv.vol, jv.mask), mask: jv.mask}, Size: t.Size}}
 	}})
 	repart := q2.Apply(den, myria.PyUDF{Name: "repart", Op: cost.Regroup, F: func(t myria.Tuple) []myria.Tuple {
 		s, tv, err := ParseVolKey(t.Key)

@@ -20,15 +20,18 @@ import (
 )
 
 // Workload bundles everything an implementation needs: the object store
-// with staged data, the acquisition scheme, and the geometry.
+// with staged data, the acquisition scheme, and the geometry (Cfg.Subjects
+// is the subject count).
 type Workload struct {
-	Store    *objstore.Store
-	Grad     *dmri.GradTable
-	Cfg      synth.NeuroConfig
-	Subjects int
+	Store *objstore.Store
+	Grad  *dmri.GradTable
+	Cfg   synth.NeuroConfig
 	// Blocks is the number of voxel slabs the model-fit step partitions
 	// each subject into (the paper's repart operation).
 	Blocks int
+	// denoised memoizes Step 2N by input content for the workload's
+	// lifetime; see (*Workload).Denoise.
+	denoised denoiseMemo
 }
 
 // NewWorkload generates the synthetic dataset for n subjects and returns
@@ -44,12 +47,12 @@ func NewWorkloadCfg(cfg synth.NeuroConfig) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workload{Store: store, Grad: g, Cfg: cfg, Subjects: cfg.Subjects, Blocks: 4}, nil
+	return &Workload{Store: store, Grad: g, Cfg: cfg, Blocks: 4}, nil
 }
 
 // InputModelBytes returns the paper-scale input size.
 func (w *Workload) InputModelBytes() int64 {
-	return w.Cfg.SubjectModelBytes() * int64(w.Subjects)
+	return w.Cfg.SubjectModelBytes() * int64(w.Cfg.Subjects)
 }
 
 // LargestIntermediateModelBytes returns the paper-scale size of the
@@ -119,7 +122,8 @@ func Segment(b0 []*volume.V3) *volume.V3 {
 	return mask
 }
 
-// Denoise runs Step 2N on one volume under the mask.
+// Denoise runs Step 2N on one volume under the mask. Pipelines call it
+// through (*Workload).Denoise, which runs it once per distinct input.
 func Denoise(v *volume.V3, mask *volume.V3) *volume.V3 {
 	return imaging.NLMeans3(v, mask, DenoiseOpts)
 }
@@ -140,7 +144,7 @@ func FitBlock(g *dmri.GradTable, vols []*volume.V3, mask *volume.V3) (*volume.V3
 func Reference(w *Workload) (*Result, error) {
 	res := &Result{Subjects: make(map[int]*SubjectResult)}
 	ar := volume.Scratch
-	for s := 0; s < w.Subjects; s++ {
+	for s := 0; s < w.Cfg.Subjects; s++ {
 		obj, err := w.Store.Get(synth.NeuroKeyNIfTI(s))
 		if err != nil {
 			return nil, err

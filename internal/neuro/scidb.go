@@ -5,7 +5,6 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
-	"imagebench/internal/imaging"
 	"imagebench/internal/scidb"
 	"imagebench/internal/synth"
 	"imagebench/internal/tsv"
@@ -127,12 +126,13 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 	// boundary as TSV in both directions — the conversion the paper had
 	// to build around ("required us to convert between TSV and FITS").
 	den := arr.Stream("denoise", cost.Denoise, func(c scidb.Chunk) scidb.Chunk {
-		v, err := tsv.Decode(tsv.Encode(c.Value.(*volume.V3)))
+		toProcess := tsv.Encode(c.Value.(*volume.V3))
+		v, err := tsv.Decode(toProcess)
 		if err != nil {
 			panic(fmt.Sprintf("neuro/scidb: stream TSV round trip: %v", err))
 		}
-		out := imaging.NLMeans3(v, nil, DenoiseOpts)
-		back, err := tsv.Decode(tsv.Encode(out))
+		fromProcess := tsv.Encode(w.Denoise(v, nil))
+		back, err := tsv.Decode(fromProcess)
 		if err != nil {
 			panic(fmt.Sprintf("neuro/scidb: stream TSV return trip: %v", err))
 		}

@@ -108,7 +108,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		return nil, err
 	}
 	cl.MarkStage("mask")
-	masks := make(map[int]*volume.V3, w.Subjects)
+	masks := make(map[int]*volume.V3, w.Cfg.Subjects)
 	for _, p := range maskPairs {
 		var s int
 		if _, err := fmt.Sscanf(p.Key, "s%03d", &s); err != nil {
@@ -128,7 +128,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		if err != nil {
 			return nil
 		}
-		den := Denoise(p.Value.(*volume.V3), masks[s])
+		den := w.Denoise(p.Value.(*volume.V3), masks[s])
 		return []spark.Pair{{Key: p.Key, Value: den, Size: p.Size}}
 	}}).After(bcast)
 

@@ -82,7 +82,7 @@ func IngestTime(w *Workload, cl *cluster.Cluster, model *cost.Model, sysVariant 
 			// Loading NIfTI files into in-memory arrays, subjects pinned
 			// to nodes (Section 5.2.1).
 			var fetches []*dask.Delayed
-			for s := 0; s < w.Subjects; s++ {
+			for s := 0; s < w.Cfg.Subjects; s++ {
 				fetches = append(fetches, sess.Fetch(synth.NeuroKeyNIfTI(s), s%cl.Nodes(),
 					func(obj objstore.Object) (any, int64, error) {
 						v4, err := decodeNIfTI(obj)
@@ -145,15 +145,22 @@ func StepTime(w *Workload, cl *cluster.Cluster, model *cost.Model, sys, step str
 }
 
 // referenceMasks computes the per-subject masks outside any timing, for
-// denoise-step measurements (the mask is an input to Step 2N).
+// denoise-step measurements (the mask is an input to Step 2N). It runs
+// Step 1N exactly as ReferenceSubject does, so the masks are
+// bit-identical to Reference's without denoising or fitting anything.
 func referenceMasks(w *Workload) (map[int]*volume.V3, error) {
-	ref, err := Reference(w)
-	if err != nil {
-		return nil, err
-	}
-	masks := make(map[int]*volume.V3, len(ref.Subjects))
-	for s, sr := range ref.Subjects {
-		masks[s] = sr.Mask
+	b0 := w.Grad.B0Mask(50)
+	masks := make(map[int]*volume.V3, w.Cfg.Subjects)
+	for s := 0; s < w.Cfg.Subjects; s++ {
+		obj, err := w.Store.Get(synth.NeuroKeyNIfTI(s))
+		if err != nil {
+			return nil, err
+		}
+		data, err := decodeNIfTI(obj)
+		if err != nil {
+			return nil, err
+		}
+		masks[s] = Segment(data.Select(b0).Vols)
 	}
 	return masks, nil
 }
@@ -201,7 +208,7 @@ func sparkStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 				if err != nil {
 					return nil
 				}
-				return []spark.Pair{{Key: p.Key, Value: Denoise(p.Value.(*volume.V3), masks[s]), Size: p.Size}}
+				return []spark.Pair{{Key: p.Key, Value: w.Denoise(p.Value.(*volume.V3), masks[s]), Size: p.Size}}
 			}}).Materialize()
 			return err
 		})
@@ -263,7 +270,7 @@ func myriaStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 				if err != nil {
 					return nil
 				}
-				return []myria.Tuple{{Key: t.Key, Value: Denoise(t.Value.(*volume.V3), masks[s]), Size: t.Size}}
+				return []myria.Tuple{{Key: t.Key, Value: w.Denoise(t.Value.(*volume.V3), masks[s]), Size: t.Size}}
 			}})
 			_, err := q.Finish()
 			return err
@@ -276,8 +283,8 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 	sess := dask.NewSession(cl, w.Store, model)
 	b0 := w.Grad.B0Mask(50)
 	// Setup: subjects already in memory across the cluster.
-	fetch := make([]*dask.Delayed, w.Subjects)
-	for s := 0; s < w.Subjects; s++ {
+	fetch := make([]*dask.Delayed, w.Cfg.Subjects)
+	for s := 0; s < w.Cfg.Subjects; s++ {
 		fetch[s] = sess.Fetch(synth.NeuroKeyNIfTI(s), s%cl.Nodes(), func(obj objstore.Object) (any, int64, error) {
 			v4, err := decodeNIfTI(obj)
 			return v4, w.Cfg.SubjectModelBytes(), err
@@ -291,7 +298,7 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 		// All data is in memory; filtering is a cheap in-memory select.
 		return delta(cl, func() error {
 			var roots []*dask.Delayed
-			for s := 0; s < w.Subjects; s++ {
+			for s := 0; s < w.Cfg.Subjects; s++ {
 				roots = append(roots, sess.Delayed(fmt.Sprintf("filter/%s", SubjKey(s)), cost.Filter,
 					[]*dask.Delayed{fetch[s]},
 					func(args []any) (any, int64, error) {
@@ -303,8 +310,8 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 			return err
 		})
 	case "mean":
-		filtered := make([]*dask.Delayed, w.Subjects)
-		for s := 0; s < w.Subjects; s++ {
+		filtered := make([]*dask.Delayed, w.Cfg.Subjects)
+		for s := 0; s < w.Cfg.Subjects; s++ {
 			filtered[s] = sess.Delayed(fmt.Sprintf("filter/%s", SubjKey(s)), cost.Filter,
 				[]*dask.Delayed{fetch[s]},
 				func(args []any) (any, int64, error) {
@@ -317,7 +324,7 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 		}
 		return delta(cl, func() error {
 			var roots []*dask.Delayed
-			for s := 0; s < w.Subjects; s++ {
+			for s := 0; s < w.Cfg.Subjects; s++ {
 				roots = append(roots, sess.Delayed(fmt.Sprintf("mean/%s", SubjKey(s)), cost.Mean,
 					[]*dask.Delayed{filtered[s]},
 					func(args []any) (any, int64, error) {
@@ -334,7 +341,7 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 		}
 		return delta(cl, func() error {
 			var roots []*dask.Delayed
-			for s := 0; s < w.Subjects; s++ {
+			for s := 0; s < w.Cfg.Subjects; s++ {
 				s := s
 				for t := 0; t < w.Cfg.T; t++ {
 					t := t
@@ -345,7 +352,7 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 						[]*dask.Delayed{fetch[s]},
 						func(args []any) (any, int64, error) {
 							v := args[0].(*volume.V4).Vols[t]
-							return Denoise(v, masks[s]), synth.PaperVolBytes, nil
+							return w.Denoise(v, masks[s]), synth.PaperVolBytes, nil
 						}))
 				}
 			}
@@ -399,7 +406,7 @@ func scidbStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 		return delta(cl, func() error {
 			d := arr.Stream("denoise", cost.Denoise, func(c scidb.Chunk) scidb.Chunk {
 				v := c.Value.(*volume.V3)
-				return scidb.Chunk{Coords: c.Coords, Value: Denoise(v, nil), Size: c.Size}
+				return scidb.Chunk{Coords: c.Coords, Value: w.Denoise(v, nil), Size: c.Size}
 			})
 			return d.Done().Err
 		})
@@ -482,7 +489,7 @@ func tfStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (v
 			_, _, err := sess.RunStep("denoise", cost.Denoise, items, tfgraph.StepOpts{},
 				func(t tfgraph.Tensor) (tfgraph.Tensor, error) {
 					vi := t.Value.(volItem)
-					return tfgraph.Tensor{Value: volItem{vi.subj, vi.t, Denoise(vi.vol, nil)}, Size: t.Size}, nil
+					return tfgraph.Tensor{Value: volItem{vi.subj, vi.t, w.Denoise(vi.vol, nil)}, Size: t.Size}, nil
 				})
 			return err
 		})

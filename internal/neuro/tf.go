@@ -96,7 +96,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 	// Step: per-subject mean via reduce_mean partials on the workers,
 	// combined on the master, then the simplified mask (a straight
 	// threshold — no median_otsu in TensorFlow).
-	for s := 0; s < w.Subjects; s++ {
+	for s := 0; s < w.Cfg.Subjects; s++ {
 		group := bySubj[s]
 		if len(group) == 0 {
 			return nil, fmt.Errorf("neuro/tf: subject %d has no b0 volumes", s)
@@ -125,7 +125,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		sigma = 1
 	}
 	denoiseOp := cost.Denoise
-	denoiseFn := func(v *volume.V3) *volume.V3 { return imaging.NLMeans3(v, nil, DenoiseOpts) }
+	denoiseFn := func(v *volume.V3) *volume.V3 { return w.Denoise(v, nil) }
 	if opts.ConvDenoise {
 		// Convolution streams at memory bandwidth, unlike the
 		// compute-bound patch search.
